@@ -27,23 +27,39 @@ GraphBatchEntry::GraphBatchEntry(Config config) : config_(std::move(config)) {
   if (config_.graph_cache_capacity == 0) config_.graph_cache_capacity = 1;
 }
 
-GraphBatchEntry::CachedGraph& GraphBatchEntry::graph_for(std::size_t rows) {
+GraphBatchEntry::GraphList::iterator GraphBatchEntry::check_out(
+    std::size_t rows) {
+  std::lock_guard lock(mutex_);
   for (auto it = graphs_.begin(); it != graphs_.end(); ++it) {
-    if (it->rows == rows) {
-      graphs_.splice(graphs_.begin(), graphs_, it);  // move to MRU front
-      return graphs_.front();
+    if (it->rows == rows && !it->busy) {
+      it->busy = true;
+      return it;
     }
   }
   CachedGraph entry;
   entry.rows = rows;
+  entry.busy = true;
   entry.graph = std::make_unique<ExecGraph>();
   entry.input = entry.graph->add_slot(config_.name + ".in");
   entry.graph->mark_input(entry.input);
   entry.output = config_.builder(*entry.graph, entry.input, rows);
   entry.graph->mark_output(entry.output);
-  if (graphs_.size() >= config_.graph_cache_capacity) graphs_.pop_back();
   graphs_.push_front(std::move(entry));
-  return graphs_.front();
+  return graphs_.begin();
+}
+
+void GraphBatchEntry::check_in(GraphList::iterator it) {
+  std::lock_guard lock(mutex_);
+  it->busy = false;
+  graphs_.splice(graphs_.begin(), graphs_, it);  // move to MRU front
+  std::size_t idle = 0;
+  for (auto cur = graphs_.begin(); cur != graphs_.end();) {
+    if (!cur->busy && ++idle > config_.graph_cache_capacity) {
+      cur = graphs_.erase(cur);
+    } else {
+      ++cur;
+    }
+  }
 }
 
 MatrixF GraphBatchEntry::run(ExecScheduler& scheduler, const MatrixF& input) {
@@ -55,18 +71,24 @@ MatrixF GraphBatchEntry::run(ExecScheduler& scheduler, const MatrixF& input) {
                                 " rows x " +
                                 std::to_string(config_.input_cols) + " cols");
   }
-  // One run at a time: graphs and the layer state their host nodes
-  // touch are not concurrency-safe, and the lock also protects the LRU.
-  std::lock_guard lock(mutex_);
-  CachedGraph& cached = graph_for(input.rows());
-  MatrixF& in_slot = cached.graph->slot(cached.input);
-  if (in_slot.rows() != input.rows() || in_slot.cols() != input.cols()) {
-    in_slot = MatrixF(input.rows(), input.cols());
+  // The graph is this caller's alone until check_in, so the run itself
+  // holds no lock (see the reentrancy contract in the header).
+  const GraphList::iterator cached = check_out(input.rows());
+  MatrixF out;
+  try {
+    ExecGraph& graph = *cached->graph;
+    MatrixF& in_slot = graph.slot(cached->input);
+    in_slot.ensure_shape(input.rows(), input.cols());
+    std::memcpy(in_slot.data(), input.data(),
+                input.rows() * input.cols() * sizeof(float));
+    scheduler.run(graph);
+    out = graph.slot(cached->output);  // deep copy (owning matrix)
+  } catch (...) {
+    check_in(cached);
+    throw;
   }
-  std::memcpy(in_slot.data(), input.data(),
-              input.rows() * input.cols() * sizeof(float));
-  scheduler.run(*cached.graph);
-  return cached.graph->slot(cached.output);  // deep copy (owning matrix)
+  check_in(cached);
+  return out;
 }
 
 std::size_t GraphBatchEntry::cached_graphs() const {

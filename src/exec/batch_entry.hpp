@@ -15,13 +15,15 @@
 //
 // GraphBatchEntry is the generic implementation: a builder callback
 // appends the model's nodes to a fresh ExecGraph for a given M, and a
-// small M-keyed LRU keeps the graphs for the batch sizes the policy
-// actually produces (slots are sized by their first writer, so one
-// graph per M reuses every buffer run to run; distinct Ms get distinct
-// graphs so no run ever resizes another's slots).  run() serializes
-// callers — model graphs and the layer caches their host nodes touch
-// are not concurrency-safe — which is exactly the batcher's execution
-// model: one leader runs per entry at a time.
+// small cache keeps graphs for the batch sizes the policy actually
+// produces (slots are sized by their first writer, so one graph per M
+// reuses every buffer run to run).  Reentrancy contract: a builder's
+// host nodes touch only graph slots and read-only state (weights,
+// layer parameters), never a layer cache.  A graph's slots are then
+// the only state a run writes, so the entry's mutex guards just the
+// cache: run() checks out an idle graph of the right M (building one
+// when all are busy), runs it outside the lock, and returns it.  Any
+// number of callers, each with its own scheduler, run concurrently.
 //
 // cost(rows) is the byte·MAC figure the tenant scheduler charges per
 // member (see serve/batch/tenant_scheduler.hpp).
@@ -58,7 +60,9 @@ class BatchEntry {
   /// `scheduler`, returning the (rows / g_in * g_out) x output_cols
   /// result.  Row groups are independent: group i of a wide run is
   /// bit-identical to a solo run of group i.  Safe to call from
-  /// multiple workers (implementations serialize internally).
+  /// multiple workers at once, each with its own scheduler: a builder's
+  /// host nodes touch only graph slots and read-only state, and every
+  /// concurrent run gets a graph of its own.
   virtual MatrixF run(ExecScheduler& scheduler, const MatrixF& input) = 0;
 
   /// MACs one run at `rows` input rows costs (the DRR charge numerator).
@@ -73,7 +77,7 @@ class BatchEntry {
   double cost(std::size_t rows) const noexcept;
 };
 
-/// Generic graph-backed entry with an M-keyed graph LRU.
+/// Generic graph-backed entry with an M-keyed cache of idle graphs.
 class GraphBatchEntry : public BatchEntry {
  public:
   /// Appends the model's nodes to `graph` for `rows` input rows: reads
@@ -90,7 +94,7 @@ class GraphBatchEntry : public BatchEntry {
     std::size_t group_rows_out = 1;
     double macs_per_row = 0;     ///< macs(rows) = macs_per_row * rows
     std::size_t weight_bytes = 0;
-    std::size_t graph_cache_capacity = 4;  ///< distinct Ms kept alive
+    std::size_t graph_cache_capacity = 4;  ///< idle graphs kept alive
     Builder builder;
   };
 
@@ -117,21 +121,31 @@ class GraphBatchEntry : public BatchEntry {
     return config_.weight_bytes;
   }
 
-  /// Distinct-M graphs currently cached (diagnostics).
+  /// Graphs currently held, idle and running (diagnostics).  Busy
+  /// graphs are never evicted; once every run has returned at most
+  /// graph_cache_capacity remain.
   std::size_t cached_graphs() const;
 
  private:
   struct CachedGraph {
     std::size_t rows = 0;
+    bool busy = false;
     std::unique_ptr<ExecGraph> graph;
     ExecGraph::SlotId input = 0;
     ExecGraph::SlotId output = 0;
   };
-  CachedGraph& graph_for(std::size_t rows);
+  using GraphList = std::list<CachedGraph>;
+  /// Marks an idle graph for `rows` busy (building one if none is
+  /// idle) and returns it; list iterators stay valid across other
+  /// callers' inserts and erases.
+  GraphList::iterator check_out(std::size_t rows);
+  /// Marks `it` idle and most recently used, then evicts the least
+  /// recently used idle graphs beyond capacity.
+  void check_in(GraphList::iterator it);
 
   Config config_;
-  mutable std::mutex mutex_;  ///< one run at a time; guards the cache
-  std::list<CachedGraph> graphs_;  ///< front = most recently used
+  mutable std::mutex mutex_;  ///< guards graphs_ (never held during a run)
+  GraphList graphs_;          ///< front = most recently used
 };
 
 /// A single-GEMM entry over one packed weight (out = in * weight

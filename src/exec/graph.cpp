@@ -191,9 +191,7 @@ void ExecGraph::execute_node(NodeId id) {
   }
   const MatrixF& a = slot(node.in);
   MatrixF& c = slot(node.out);
-  if (c.rows() != a.rows() || c.cols() != node.weight->n()) {
-    c = MatrixF(a.rows(), node.weight->n());
-  }
+  c.ensure_shape(a.rows(), node.weight->n());
   node.weight->matmul(node.ctx, a, c);
   if (node.bias) add_row_bias(c, *node.bias);
 }

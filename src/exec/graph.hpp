@@ -24,6 +24,15 @@
 // and shapes must be consistent — and the scheduler runs that audit
 // once per graph before the first dispatch.
 //
+// Host-node contract: a host node's body touches only graph slots and
+// read-only state — weights, layer parameters, the kernels in
+// gemm/fused_ops — and never writes a layer member.  All state a run
+// writes then lives in the graph's own slots, so two graphs built over
+// one model run concurrently without a lock (exec/batch_entry.hpp
+// relies on this).  BertMini's builder keeps the contract; the NMT and
+// VGG builders do not yet (their recurrence and conv-trunk nodes run
+// the training layers), so their graphs run one at a time.
+//
 // Slots are plain MatrixF buffers owned by the graph.  Their shapes
 // are set by whoever writes them (gemm nodes size their output from
 // the input rows and the weight's N), so one graph serves any batch
@@ -116,9 +125,11 @@ class ExecGraph {
                   const MatrixF* bias = nullptr);
 
   /// Adds a host node running `fn(graph)`.  `reads`/`writes` declare
-  /// the slots the body touches, from which dependencies are derived;
-  /// state the body mutates outside the graph (captured layer caches)
-  /// must be ordered with add_dep().
+  /// the slots the body touches, from which dependencies are derived.
+  /// The body touches only graph slots and read-only state (see the
+  /// host-node contract above); a builder that breaks the contract
+  /// orders the captured state it mutates with add_dep().  A node may
+  /// read and write one slot to update it in place.
   NodeId add_host(std::string name, std::vector<SlotId> reads,
                   std::vector<SlotId> writes, std::function<void(ExecGraph&)> fn);
 

@@ -229,16 +229,14 @@ void ExecScheduler::execute_task(ExecGraph& graph, Plan& plan,
         plan.node_plans[task.node].shards[static_cast<std::size_t>(task.shard)];
     const MatrixF& a = graph.slot(node.in);
     const std::size_t width = shard.n1 - shard.n0;
-    if (shard.scratch.rows() != a.rows() || shard.scratch.cols() != width)
-      shard.scratch = MatrixF(a.rows(), width);
+    shard.scratch.ensure_shape(a.rows(), width);
     shard.weight->matmul(node.ctx, a, shard.scratch);
     return;
   }
   // Join: stitch the shard columns into the output slot, then bias.
   const MatrixF& a = graph.slot(node.in);
   MatrixF& c = graph.slot(node.out);
-  if (c.rows() != a.rows() || c.cols() != node.weight->n())
-    c = MatrixF(a.rows(), node.weight->n());
+  c.ensure_shape(a.rows(), node.weight->n());
   for (const Shard& shard : plan.node_plans[task.node].shards) {
     const std::size_t width = shard.n1 - shard.n0;
     for (std::size_t r = 0; r < c.rows(); ++r) {

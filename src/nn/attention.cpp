@@ -2,28 +2,11 @@
 
 #include <cassert>
 #include <cmath>
+#include <vector>
+
+#include "gemm/fused_ops.hpp"
 
 namespace tilesparse {
-namespace {
-
-/// Softmax over each row of a seq x seq score block, in place.
-void softmax_inplace(MatrixF& scores) {
-  for (std::size_t r = 0; r < scores.rows(); ++r) {
-    float* row = scores.data() + r * scores.cols();
-    float maxv = row[0];
-    for (std::size_t c = 1; c < scores.cols(); ++c)
-      maxv = std::max(maxv, row[c]);
-    float sum = 0.0f;
-    for (std::size_t c = 0; c < scores.cols(); ++c) {
-      row[c] = std::exp(row[c] - maxv);
-      sum += row[c];
-    }
-    const float inv = 1.0f / sum;
-    for (std::size_t c = 0; c < scores.cols(); ++c) row[c] *= inv;
-  }
-}
-
-}  // namespace
 
 MultiHeadAttention::MultiHeadAttention(std::string name, std::size_t dim,
                                        std::size_t heads, std::size_t seq,
@@ -57,36 +40,40 @@ std::vector<Linear*> MultiHeadAttention::projection_layers() {
 }
 
 void MultiHeadAttention::attention_core(const MatrixF& q, const MatrixF& k,
-                                        const MatrixF& v, MatrixF& context) {
+                                        const MatrixF& v, MatrixF& context,
+                                        MatrixF* probs) const {
   const std::size_t batch = q.rows() / seq_;
-  attn_.assign(batch * heads_, MatrixF{});
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  // The graph path's probability row: per thread, so concurrent runs
+  // of one layer never share it, and grown once rather than per run.
+  thread_local std::vector<float> scratch;
+  if (!probs && scratch.size() < seq_) scratch.resize(seq_);
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t h = 0; h < heads_; ++h) {
       const std::size_t col0 = h * head_dim_;
-      // scores(s, t) = scale * <q_s, k_t> over this head's columns.
-      MatrixF scores(seq_, seq_);
       for (std::size_t s = 0; s < seq_; ++s) {
+        float* prow =
+            probs ? probs->data() + ((b * heads_ + h) * seq_ + s) * seq_
+                  : scratch.data();
+        // prow[t] = softmax_t(scale * <q_s, k_t>) over this head's columns.
         const float* qrow = q.data() + (b * seq_ + s) * dim_ + col0;
         for (std::size_t t = 0; t < seq_; ++t) {
           const float* krow = k.data() + (b * seq_ + t) * dim_ + col0;
           float dot = 0.0f;
           for (std::size_t d = 0; d < head_dim_; ++d) dot += qrow[d] * krow[d];
-          scores(s, t) = dot * scale;
+          prow[t] = dot * scale;
         }
-      }
-      softmax_inplace(scores);
-      // context rows = probs * V.
-      for (std::size_t s = 0; s < seq_; ++s) {
+        softmax_row({prow, seq_});
+        // context row = probs row * V.
         float* crow = context.data() + (b * seq_ + s) * dim_ + col0;
+        for (std::size_t d = 0; d < head_dim_; ++d) crow[d] = 0.0f;
         for (std::size_t t = 0; t < seq_; ++t) {
-          const float p = scores(s, t);
+          const float p = prow[t];
           const float* vrow = v.data() + (b * seq_ + t) * dim_ + col0;
           for (std::size_t d = 0; d < head_dim_; ++d) crow[d] += p * vrow[d];
         }
       }
-      attn_[b * heads_ + h] = std::move(scores);
     }
   }
 }
@@ -97,7 +84,8 @@ MatrixF MultiHeadAttention::forward(const MatrixF& x) {
   k_act_ = k_.forward(x);
   v_act_ = v_.forward(x);
   MatrixF context(x.rows(), dim_);
-  attention_core(q_act_, k_act_, v_act_, context);
+  attn_ = MatrixF(x.rows() * heads_, seq_);
+  attention_core(q_act_, k_act_, v_act_, context, &attn_);
   return out_.forward(context);
 }
 
@@ -116,11 +104,8 @@ ExecGraph::NodeId MultiHeadAttention::add_to_graph(ExecGraph& graph,
                  [this, q, k, v, context](ExecGraph& g) {
                    const MatrixF& qa = g.slot(q);
                    MatrixF& ctx = g.slot(context);
-                   if (ctx.rows() != qa.rows() || ctx.cols() != dim_)
-                     ctx = MatrixF(qa.rows(), dim_);
-                   else
-                     ctx.fill(0.0f);
-                   attention_core(qa, g.slot(k), g.slot(v), ctx);
+                   ctx.ensure_shape(qa.rows(), dim_);
+                   attention_core(qa, g.slot(k), g.slot(v), ctx, nullptr);
                  });
   return out_.add_to_graph(graph, context, out);
 }
@@ -135,7 +120,8 @@ MatrixF MultiHeadAttention::backward(const MatrixF& dy) {
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t h = 0; h < heads_; ++h) {
       const std::size_t col0 = h * head_dim_;
-      const MatrixF& probs = attn_[b * heads_ + h];
+      const MatrixF probs = MatrixF::borrowed(
+          attn_.data() + (b * heads_ + h) * seq_ * seq_, seq_, seq_);
 
       // dprobs(s, t) = <dcontext_s, v_t>;  dv_t += sum_s probs(s,t) dcontext_s.
       MatrixF dprobs(seq_, seq_);

@@ -34,18 +34,21 @@ class MultiHeadAttention : public Layer {
                                  ExecGraph::SlotId out);
 
  private:
-  /// softmax(scale * Q K^T) V per (batch, head), writing `context`
-  /// (pre-sized to q.rows() x dim) and caching the probabilities in
-  /// attn_.  Shared by forward() and the graph host node so both paths
+  /// softmax(scale * Q K^T) V per (batch, head), writing every element
+  /// of `context` (pre-sized to q.rows() x dim).  `probs`, when given,
+  /// receives the probabilities — (batch * heads * seq) x seq rows, row
+  /// (b * heads + h) * seq + s — for backward(); without it each row
+  /// lives in a per-thread scratch row, so the graph path touches no
+  /// member.  Shared by forward() and the graph host node so both paths
   /// are the same arithmetic.
   void attention_core(const MatrixF& q, const MatrixF& k, const MatrixF& v,
-                      MatrixF& context);
+                      MatrixF& context, MatrixF* probs) const;
 
   std::size_t dim_, heads_, seq_, head_dim_;
   Linear q_, k_, v_, out_;
   // Cached activations for backward.
   MatrixF q_act_, k_act_, v_act_;
-  std::vector<MatrixF> attn_;  ///< softmax probabilities per (batch, head)
+  MatrixF attn_;  ///< softmax probabilities (attention_core's layout)
 };
 
 }  // namespace tilesparse

@@ -9,7 +9,7 @@
 // group_rows_in = seq (one request unit = one embedded sequence),
 // group_rows_out = 1 (pooled logits row), graphs built per batch size
 // through BertMini::append_exec_graph and kept in the entry's M-keyed
-// LRU.
+// graph cache.
 //
 // Lifetime: the model must outlive the entry, and the entry must be
 // re-created (re-registered) after pack_weights / clear_packed_weights
@@ -27,8 +27,8 @@ namespace tilesparse {
 
 /// Batch entry over a BertMini encoder stack.  Inputs are embed()
 /// activations: (k * seq) x dim rows per request; outputs are k x
-/// classes logits.  The model is serialized inside the entry (its
-/// layer caches are not concurrency-safe).
+/// classes logits.  The graph's host nodes only read the model, so
+/// concurrent runs need no lock (the exec/batch_entry.hpp contract).
 std::unique_ptr<GraphBatchEntry> make_bert_entry(std::string name,
                                                  BertMini& model);
 

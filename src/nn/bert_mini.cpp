@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "exec/scheduler.hpp"
+#include "gemm/fused_ops.hpp"
 #include "tensor/ops.hpp"
 
 namespace tilesparse {
@@ -66,14 +67,14 @@ MatrixF BertMini::forward(const TokenBatch& batch) {
     blk.x_attn_in = x;
     MatrixF h = blk.ln1->forward(x);
     h = blk.attn->forward(h);
-    for (std::size_t i = 0; i < x.size(); ++i) h.data()[i] += x.data()[i];
+    residual_add(h.flat(), x.flat(), h.flat());
 
     blk.x_ffn_in = h;
     MatrixF f = blk.ln2->forward(h);
     f = blk.ffn_in->forward(f);
     f = blk.gelu->forward(f);
     f = blk.ffn_out->forward(f);
-    for (std::size_t i = 0; i < h.size(); ++i) f.data()[i] += h.data()[i];
+    residual_add(f.flat(), h.flat(), f.flat());
     x = std::move(f);
   }
 
@@ -188,52 +189,50 @@ ExecGraph& BertMini::build_exec_graph() {
 
 ExecGraph::SlotId BertMini::append_exec_graph(ExecGraph& g,
                                               ExecGraph::SlotId input) {
+  // Host nodes read the layers (const) and write only their declared
+  // slots, so one model can serve any number of graphs at once.
+  auto add_residual = [&g](const std::string& name, ExecGraph::SlotId a,
+                           ExecGraph::SlotId b, ExecGraph::SlotId out) {
+    g.add_host(name, {a, b}, {out}, [a, b, out](ExecGraph& gg) {
+      const MatrixF& lhs = gg.slot(a);
+      MatrixF& sum = gg.slot(out);
+      sum.ensure_shape(lhs.rows(), lhs.cols());
+      residual_add(lhs.flat(), gg.slot(b).flat(), sum.flat());
+    });
+  };
   ExecGraph::SlotId x = input;
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    Block* blk = &blocks_[l];
+    const Block* blk = &blocks_[l];
     const std::string p = "block" + std::to_string(l);
     // Attention branch with residual (pre-LN, matching forward()).
     const ExecGraph::SlotId h = g.add_slot(p + ".ln1.out");
     g.add_host(p + ".ln1", {x}, {h}, [blk, x, h](ExecGraph& gg) {
-      gg.slot(h) = blk->ln1->forward(gg.slot(x));
+      blk->ln1->infer(gg.slot(x), gg.slot(h));
     });
     const ExecGraph::SlotId attn_out = g.add_slot(p + ".attn.out");
     blk->attn->add_to_graph(g, h, attn_out);
     const ExecGraph::SlotId x1 = g.add_slot(p + ".res1");
-    g.add_host(p + ".res1", {attn_out, x}, {x1},
-               [attn_out, x, x1](ExecGraph& gg) {
-                 MatrixF sum = gg.slot(attn_out);
-                 const MatrixF& res = gg.slot(x);
-                 for (std::size_t i = 0; i < sum.size(); ++i)
-                   sum.data()[i] += res.data()[i];
-                 gg.slot(x1) = std::move(sum);
-               });
-    // FFN branch with residual.
+    add_residual(p + ".res1", attn_out, x, x1);
+    // FFN branch with residual; GELU runs in place on the FFN-in output.
     const ExecGraph::SlotId f = g.add_slot(p + ".ln2.out");
     g.add_host(p + ".ln2", {x1}, {f}, [blk, x1, f](ExecGraph& gg) {
-      gg.slot(f) = blk->ln2->forward(gg.slot(x1));
+      blk->ln2->infer(gg.slot(x1), gg.slot(f));
     });
     const ExecGraph::SlotId f1 = g.add_slot(p + ".ffn_in.out");
     blk->ffn_in->add_to_graph(g, f, f1);
-    const ExecGraph::SlotId f2 = g.add_slot(p + ".gelu.out");
-    g.add_host(p + ".gelu", {f1}, {f2}, [blk, f1, f2](ExecGraph& gg) {
-      gg.slot(f2) = blk->gelu->forward(gg.slot(f1));
+    g.add_host(p + ".gelu", {f1}, {f1}, [f1](ExecGraph& gg) {
+      MatrixF& act = gg.slot(f1);
+      gelu(act.flat(), act.flat());
     });
     const ExecGraph::SlotId f3 = g.add_slot(p + ".ffn_out.out");
-    blk->ffn_out->add_to_graph(g, f2, f3);
+    blk->ffn_out->add_to_graph(g, f1, f3);
     const ExecGraph::SlotId x2 = g.add_slot(p + ".res2");
-    g.add_host(p + ".res2", {f3, x1}, {x2}, [f3, x1, x2](ExecGraph& gg) {
-      MatrixF sum = gg.slot(f3);
-      const MatrixF& res = gg.slot(x1);
-      for (std::size_t i = 0; i < sum.size(); ++i)
-        sum.data()[i] += res.data()[i];
-      gg.slot(x2) = std::move(sum);
-    });
+    add_residual(p + ".res2", f3, x1, x2);
     x = x2;
   }
   const ExecGraph::SlotId pooled = g.add_slot("pooled");
   g.add_host("pool", {x}, {pooled}, [this, x, pooled](ExecGraph& gg) {
-    gg.slot(pooled) = pool_.forward(gg.slot(x));
+    pool_.infer(gg.slot(x), gg.slot(pooled));
   });
   const ExecGraph::SlotId logits = g.add_slot("logits");
   classifier_->add_to_graph(g, pooled, logits);

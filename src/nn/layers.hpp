@@ -75,11 +75,15 @@ class Linear : public Layer {
   void set_exec_context(const ExecContext& ctx) noexcept { ctx_ = ctx; }
   const ExecContext& exec_context() const noexcept { return ctx_; }
 
+  /// y = x W + b without caching x: the stateless inference forward
+  /// (forward() is x_ = x, then this).
+  MatrixF infer(const MatrixF& x) const;
+
   /// Adds this layer's y = x W + b to an execution graph: a GEMM node
   /// over the packed weight when one is installed (independent layers
-  /// then overlap across scheduler streams), a host node running the
-  /// plain forward() otherwise.  Both produce exactly what forward()
-  /// produces.  The layer must outlive the graph.
+  /// then overlap across scheduler streams), a host node running
+  /// infer() otherwise.  Both produce exactly what forward() produces.
+  /// The layer must outlive the graph.
   ExecGraph::NodeId add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
                                  ExecGraph::SlotId out);
 
@@ -138,6 +142,7 @@ class ReLU : public Layer {
   MatrixF y_;
 };
 
+/// GELU over gemm/fused_ops gelu() (tanh approximation).
 class Gelu : public Layer {
  public:
   MatrixF forward(const MatrixF& x) override;
@@ -155,6 +160,10 @@ class LayerNorm : public Layer {
   MatrixF forward(const MatrixF& x) override;
   MatrixF backward(const MatrixF& dy) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
+
+  /// The stateless inference forward: writes y (sized to x) and touches
+  /// no member.  Same arithmetic as forward(), bit for bit.
+  void infer(const MatrixF& x, MatrixF& y) const;
 
  private:
   Param gamma_, beta_;
@@ -192,6 +201,10 @@ class MeanPoolRows : public Layer {
   explicit MeanPoolRows(std::size_t group) : group_(group) {}
   MatrixF forward(const MatrixF& x) override;
   MatrixF backward(const MatrixF& dy) override;
+
+  /// The stateless inference forward: writes y (x.rows() / group rows)
+  /// and touches no member.
+  void infer(const MatrixF& x, MatrixF& y) const;
 
  private:
   std::size_t group_;

@@ -111,6 +111,14 @@ class Matrix {
     for (std::size_t i = 0; i < size(); ++i) data_[i] = value;
   }
 
+  /// Makes this an owning rows x cols matrix, reallocating only when
+  /// the shape differs; the contents are unspecified afterwards, so the
+  /// caller overwrites every element.  Sizes a reused destination (a
+  /// graph slot) without an allocation per run.
+  void ensure_shape(std::size_t rows, std::size_t cols) {
+    if (rows != rows_ || cols != cols_ || !owns_) *this = Matrix(rows, cols);
+  }
+
  private:
   static T* allocate(std::size_t count) {
     if (count == 0) return nullptr;

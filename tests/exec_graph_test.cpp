@@ -267,9 +267,15 @@ TEST(ModelGraphTest, BertGraphForwardBitIdenticalToSyncAcrossFormats) {
   Rng rng(123);
   const TokenBatch batch = dataset.sample(24, rng);
 
+  // The tw format needs a tile pattern per prunable weight.
+  std::vector<TilePattern> patterns;
+  for (Param* w : model.prunable_weights())
+    patterns.push_back(
+        tw_pattern_from_scores(magnitude_scores(w->value), 0.5, 16));
+
   ThreadPool pool(3);
-  for (const std::string format : {"dense", "csr"}) {
-    model.pack_weights(format);
+  for (const std::string format : {"dense", "csr", "tw"}) {
+    model.pack_weights(format, format == "tw" ? &patterns : nullptr);
     const MatrixF sync = model.forward(batch);
 
     for (const std::size_t streams : {1u, 4u}) {

@@ -78,8 +78,8 @@ TEST(NmtOps, ElementwiseBytesArePositive) {
   }
 }
 
-// ---- fused_ops vs nn layer consistency (two implementations of the
-// same math must agree).
+// ---- fused_ops vs nn layers: the layers run the fused_ops kernels, so
+// a layer forward and a direct kernel call give the same bits.
 
 TEST(Consistency, LayerNormLayerMatchesFusedKernel) {
   Rng rng(2);
@@ -91,8 +91,9 @@ TEST(Consistency, LayerNormLayerMatchesFusedKernel) {
   const MatrixF y_layer = layer.forward(x);
 
   std::vector<float> gamma(32, 1.0f), beta(32, 0.0f);
-  layer_norm(x2, gamma, beta);
-  EXPECT_LT(max_abs_diff(y_layer, x2), 1e-4f);
+  for (std::size_t r = 0; r < x2.rows(); ++r)
+    layer_norm_row(x2.row(r), x2.row(r), gamma, beta, 1e-5f);
+  EXPECT_EQ(max_abs_diff(y_layer, x2), 0.0f);
 }
 
 TEST(Consistency, GeluLayerMatchesFusedKernel) {
@@ -102,18 +103,18 @@ TEST(Consistency, GeluLayerMatchesFusedKernel) {
   MatrixF x2 = x;
   Gelu layer;
   const MatrixF y_layer = layer.forward(x);
-  gelu(x2);
-  EXPECT_LT(max_abs_diff(y_layer, x2), 1e-5f);
+  gelu(x2.flat(), x2.flat());
+  EXPECT_EQ(max_abs_diff(y_layer, x2), 0.0f);
 }
 
 TEST(Consistency, SoftmaxRowsMatchesLossSoftmax) {
-  // softmax_rows vs the softmax inside cross-entropy: probabilities must
+  // softmax_row vs the softmax inside cross-entropy: probabilities must
   // agree.  Reconstruct p from the CE gradient: grad = (p - 1[label])/B.
   Rng rng(4);
   MatrixF logits(5, 7);
   fill_normal(logits, rng);
   MatrixF probs = logits;
-  softmax_rows(probs);
+  for (std::size_t r = 0; r < probs.rows(); ++r) softmax_row(probs.row(r));
 
   MatrixF dlogits;
   const std::vector<int> labels{0, 1, 2, 3, 4};

@@ -10,6 +10,9 @@
 //     co-travellers).
 //   * Batch-of-one through the batching runtime == direct solo submit,
 //     bit-identical.
+//   * One entry serves concurrent callers without a lock: callers at
+//     one M run at once on distinct graphs, and a BERT entry driven
+//     from four threads at mixed M stays bit-identical to solo runs.
 //   * The linger window flushes on timer and, independently, on
 //     reaching max_batch_m rows.
 //   * One member expiring (or poisoning the batch) cannot take its
@@ -23,10 +26,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -189,6 +197,58 @@ TEST(GraphBatchEntryTest, KeepsMKeyedGraphCache) {
                             reference));
 }
 
+TEST(GraphBatchEntryTest, ConcurrentCallersAtOneMGetDistinctGraphs) {
+  // Every caller blocks inside its run until all four are inside at
+  // once, which only happens when no lock spans the runs and each
+  // caller holds a graph of its own.
+  constexpr std::size_t kCallers = 4;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t inside = 0;
+  std::set<const ExecGraph*> graphs_seen;
+  std::atomic<std::size_t> rendezvous_missed{0};
+  GraphBatchEntry::Config config;
+  config.name = "rendezvous";
+  config.input_cols = 8;
+  config.output_cols = 8;
+  config.graph_cache_capacity = 2;
+  config.builder = [&](ExecGraph& g, ExecGraph::SlotId in, std::size_t) {
+    const auto out = g.add_slot("out");
+    g.add_host("meet", {in}, {out}, [&, in, out](ExecGraph& gg) {
+      gg.slot(out) = gg.slot(in);
+      std::unique_lock lock(mu);
+      graphs_seen.insert(&gg);
+      ++inside;
+      cv.notify_all();
+      if (!cv.wait_for(lock, 20s, [&] { return inside >= kCallers; }))
+        rendezvous_missed.fetch_add(1);
+    });
+    return out;
+  };
+  GraphBatchEntry entry(std::move(config));
+
+  std::vector<MatrixF> inputs, outputs(kCallers);
+  for (std::size_t i = 0; i < kCallers; ++i)
+    inputs.push_back(random_matrix(4, 8, 60 + i));
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      SchedulerOptions options;
+      options.streams = 1;
+      ExecScheduler scheduler(options);
+      outputs[i] = entry.run(scheduler, inputs[i]);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  EXPECT_EQ(rendezvous_missed.load(), 0u) << "callers were serialized";
+  EXPECT_EQ(graphs_seen.size(), kCallers)
+      << "concurrent callers shared a graph";
+  EXPECT_LE(entry.cached_graphs(), 2u);  // idle graphs trimmed to capacity
+  for (std::size_t i = 0; i < kCallers; ++i)
+    EXPECT_TRUE(bit_identical(outputs[i], inputs[i])) << "caller " << i;
+}
+
 TEST(GraphBatchEntryTest, RejectsMisshapenInput) {
   const MatrixF w = random_matrix(16, 32, 13);
   const auto packed = pack_for_batch_test("dense", w, 16);
@@ -254,6 +314,61 @@ TEST(BertBatchEntryTest, BatchedSequencesMatchSoloBitIdentical) {
       RowStage::map_groups(stage.slices()[1], config.seq, 1);
   EXPECT_TRUE(bit_identical(RowStage::scatter(batched, out_a), solo_a));
   EXPECT_TRUE(bit_identical(RowStage::scatter(batched, out_b), solo_b));
+}
+
+TEST(BertBatchEntryTest, ConcurrentCallersBitIdenticalToSolo) {
+  // One entry driven from four threads, each with its own scheduler, at
+  // mixed M: the graph's host nodes write only graph slots, so every
+  // output carries exactly the bits of a solo run.
+  BertMiniConfig config;
+  config.dim = 32;
+  config.heads = 2;
+  config.layers = 2;
+  config.ffn_dim = 64;
+  config.seq = 8;
+  config.classes = 3;
+  const MatrixF table = random_matrix(50, config.dim, 42);
+  for (const std::string format : {"tw", "dense"}) {
+    BertMini model(config, table);
+    std::vector<TilePattern> patterns;
+    for (Param* w : model.prunable_weights())
+      patterns.push_back(
+          tw_pattern_from_scores(magnitude_scores(w->value), 0.5, 8));
+    model.pack_weights(format, format == "tw" ? &patterns : nullptr);
+    const auto entry = make_bert_entry("bert-" + format, model);
+
+    std::vector<MatrixF> inputs;
+    for (std::size_t seqs = 1; seqs <= 3; ++seqs)
+      inputs.push_back(random_matrix(seqs * config.seq, config.dim, 70 + seqs));
+    std::vector<MatrixF> solo;
+    {
+      SchedulerOptions options;
+      options.streams = 1;
+      ExecScheduler scheduler(options);
+      for (const MatrixF& in : inputs)
+        solo.push_back(entry->run(scheduler, in));
+    }
+
+    constexpr std::size_t kThreads = 4, kRunsPerThread = 12;
+    std::atomic<std::size_t> mismatches{0};
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        SchedulerOptions options;
+        options.streams = 1;
+        ExecScheduler scheduler(options);
+        start.arrive_and_wait();
+        for (std::size_t r = 0; r < kRunsPerThread; ++r) {
+          const std::size_t pick = (t + r) % inputs.size();
+          if (!bit_identical(entry->run(scheduler, inputs[pick]), solo[pick]))
+            mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0u) << format;
+  }
 }
 
 // ------------------------------------------------------ TenantScheduler
